@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-json bench-gate smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke
+.PHONY: all build test race vet check bench bench-json bench-gate smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke symbench-test
 
 all: check
 
@@ -34,9 +34,17 @@ race:
 
 # check is the pre-commit gate: static analysis, race tests on the
 # measurement pipeline, the fault-path, overload-path, and analysis-
-# plane smoke runs, the full tier-1 build + test sweep, then the
-# perf-regression gate against the committed BENCH_*.json baseline.
-check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke build test bench-gate
+# plane smoke runs, the full tier-1 build + test sweep, the benchmark
+# harness's own helper tests, then the perf-regression gate against
+# the committed BENCH_*.json baseline.
+check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke build test symbench-test bench-gate
+
+# symbench-test runs the end-to-end benchmark's helper tests (output
+# audits, tail rule, round quantiles, input digest, BENCHMARK.json
+# tables). symbench is its own module, so `go test ./...` at the root
+# does not reach them.
+symbench-test:
+	cd symbench && $(GO) test .
 
 # bench-json measures the RPC hot path (proc codec, batch building,
 # scheduler quantum switches and contended pool handoffs, unbatched vs

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -281,24 +282,17 @@ func printPath(reqID uint64, spans []analysis.Span) {
 
 // summarize lists the largest requests by span count.
 func summarize(ts *analysis.TraceSet, n int) {
-	reqs := ts.Requests()
 	type row struct {
 		id    uint64
 		evs   int
 		spans int
 	}
-	rows := make([]row, 0, len(reqs))
-	for id, evs := range reqs {
-		rows = append(rows, row{id: id, evs: len(evs), spans: len(analysis.SpansOf(id, evs))})
-	}
-	// Largest requests first.
-	for i := 0; i < len(rows); i++ {
-		for j := i + 1; j < len(rows); j++ {
-			if rows[j].spans > rows[i].spans {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
-		}
-	}
+	var rows []row
+	ts.ForEachRequest(func(id uint64, evs []int32, spans []analysis.Span) {
+		rows = append(rows, row{id: id, evs: len(evs), spans: len(spans)})
+	})
+	// Largest requests first, ties in request-ID order.
+	slices.SortStableFunc(rows, func(a, b row) int { return b.spans - a.spans })
 	fmt.Printf("\n%d distributed requests; largest %d:\n", len(rows), min(n, len(rows)))
 	for i := 0; i < len(rows) && i < n; i++ {
 		fmt.Printf("  request %#016x: %3d events, %3d spans\n",

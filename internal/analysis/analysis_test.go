@@ -206,12 +206,20 @@ func TestOFIEventsReadSeries(t *testing.T) {
 
 func TestRequestsSortedByLamport(t *testing.T) {
 	ts, reqID := buildTrace()
-	reqs := ts.Requests()
-	evs := reqs[reqID]
-	for i := 1; i < len(evs); i++ {
-		if evs[i-1].Order > evs[i].Order {
-			t.Fatal("events not lamport-sorted")
+	groups := 0
+	ts.ForEachRequest(func(id uint64, evs []int32, spans []Span) {
+		groups++
+		if id != reqID || len(evs) != len(ts.Events) || len(spans) == 0 {
+			t.Fatalf("request %#x: %d events, %d spans", id, len(evs), len(spans))
 		}
+		for i := 1; i < len(evs); i++ {
+			if ts.Events[evs[i-1]].Order > ts.Events[evs[i]].Order {
+				t.Fatal("events not lamport-sorted")
+			}
+		}
+	})
+	if groups != 1 {
+		t.Fatalf("groups = %d, want 1", groups)
 	}
 	ids := ts.RequestIDs()
 	if len(ids) != 1 || ids[0] != reqID {

@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"symbiosys/internal/core"
 )
@@ -136,23 +136,19 @@ type PathStats struct {
 }
 
 // ExtractPaths computes the critical path of every request in the trace
-// set.
+// set, in ascending request-ID order. One sort of small keys groups the
+// events by request; one span buffer, one path builder and one segment
+// slab serve every request, and identical shapes share one string.
 func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
-	reqs := ts.Requests()
-	ids := make([]uint64, 0, len(reqs))
-	for id := range reqs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	var stats PathStats
-	stats.Requests = len(ids)
-	paths := make([]CriticalPath, 0, len(ids))
-	for _, id := range ids {
-		p := PathFromSpans(id, SpansOf(id, reqs[id]))
-		if p == nil {
-			continue
+	pos, n := ts.groupRequests()
+	stats := PathStats{Requests: n}
+	paths := make([]CriticalPath, 0, n)
+	b := &pathBuilder{chunk: len(ts.Events) + 64, shapes: make(map[string]string)}
+	ts.walkRequests(pos, func(id uint64, _ []int32, spans []Span) {
+		if !b.build(id, spans) {
+			return
 		}
+		p := &b.path
 		stats.Extracted++
 		if p.Incomplete {
 			stats.Incomplete++
@@ -164,7 +160,7 @@ func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
 			stats.Failed++
 		}
 		paths = append(paths, *p)
-	}
+	})
 	return paths, stats
 }
 
@@ -174,108 +170,204 @@ func ExtractPath(requestID uint64, evs []core.Event) *CriticalPath {
 	return PathFromSpans(requestID, SpansOf(requestID, evs))
 }
 
-// pathBuilder carries the indexes one extraction works over.
-type pathBuilder struct {
-	spans []Span
-	// clientByBC / serverByBC index span positions per callpath,
-	// sorted by start time.
-	clientByBC map[core.Breadcrumb][]int
-	serverByBC map[core.Breadcrumb][]int
-	serverUsed []bool
-
-	path *CriticalPath
-}
-
 // PathFromSpans computes the critical path from one request's
 // reconstructed spans (SpansOf output). Returns nil when the request
 // has no spans at all.
 func PathFromSpans(requestID uint64, spans []Span) *CriticalPath {
-	if len(spans) == 0 {
+	var b pathBuilder
+	if !b.build(requestID, spans) {
 		return nil
 	}
-	b := &pathBuilder{
-		spans:      spans,
-		clientByBC: make(map[core.Breadcrumb][]int),
-		serverByBC: make(map[core.Breadcrumb][]int),
-		serverUsed: make([]bool, len(spans)),
-		path:       &CriticalPath{RequestID: requestID},
-	}
-	for i, s := range spans {
-		if s.Kind == "CLIENT" {
-			b.clientByBC[s.Breadcrumb] = append(b.clientByBC[s.Breadcrumb], i)
-		} else {
-			b.serverByBC[s.Breadcrumb] = append(b.serverByBC[s.Breadcrumb], i)
-		}
-		if s.BatchID != 0 {
-			b.path.Batched = true
-		}
-	}
-	byStart := func(idx []int) {
-		sort.SliceStable(idx, func(i, j int) bool {
-			return spans[idx[i]].StartNanos < spans[idx[j]].StartNanos
-		})
-	}
-	for _, idx := range b.clientByBC {
-		byStart(idx)
-	}
-	for _, idx := range b.serverByBC {
-		byStart(idx)
-	}
+	return &b.path
+}
 
-	rootBC, ok := b.rootBreadcrumb()
-	if !ok {
-		return nil
+// pathBuilder is the reusable state of critical-path extraction. Spans
+// are addressed by their position in spans; every scratch slice is
+// either rebuilt per request or used as a stack by the recursive walk,
+// so one builder serves any number of requests without per-request
+// maps.
+type pathBuilder struct {
+	spans []Span
+	// byBC holds span positions grouped per (side, breadcrumb), each
+	// group ordered by start time (ties by position); groups indexes
+	// those runs, the nClient client groups first, each side in
+	// ascending breadcrumb order.
+	byBC       []int32
+	groups     []spanGroup
+	nClient    int
+	serverUsed []bool
+
+	// Stacks of the recursive walk: a hop's attempt chain, a server
+	// span's child hops, and the child hops' span positions.
+	chain    []int32
+	children []childHop
+	childPos []int32
+
+	path CriticalPath
+	// segs is the segment slab: every path's Segments is a contiguous
+	// run of it, the in-progress path's starting at segStart. A full
+	// slab is replaced by a new chunk of at least chunk segments.
+	segs     []PathSegment
+	segStart int
+	chunk    int
+
+	shape []byte
+	// shapes interns fold keys so identical shapes share one string;
+	// nil builds a fresh string per path.
+	shapes map[string]string
+}
+
+// spanGroup is one (side, breadcrumb) run of byBC.
+type spanGroup struct {
+	bc     core.Breadcrumb
+	lo, hi int32
+}
+
+// childHop is one nested hop of a server span: its breadcrumb, the
+// run of childPos holding its client spans, and the interval they
+// cover.
+type childHop struct {
+	bc       core.Breadcrumb
+	lo, hi   int32
+	from, to int64
+}
+
+// build computes the critical path of one request's spans into b.path,
+// reporting false when there is none.
+func (b *pathBuilder) build(requestID uint64, spans []Span) bool {
+	if len(spans) == 0 {
+		return false
 	}
-	if attempts := b.clientByBC[rootBC]; len(attempts) > 0 {
-		b.path.Attempts = b.expandHop(rootBC, attempts)
+	b.spans = spans
+	b.path = CriticalPath{RequestID: requestID}
+	b.segStart = len(b.segs)
+	b.index()
+
+	root, ok := b.rootGroup()
+	if !ok {
+		return false
+	}
+	if root < b.nClient {
+		g := b.groups[root]
+		b.path.Attempts = b.expandHop(g.bc, b.byBC[g.lo:g.hi])
 	} else {
 		// Server-only view (the origin was unprofiled): expand the
 		// earliest root server span's interior directly.
-		si := b.serverByBC[rootBC][0]
+		si := b.byBC[b.groups[root].lo]
 		b.serverUsed[si] = true
 		b.path.Incomplete = true
-		b.expandServer(b.spans[si])
+		b.expandServer(si)
 	}
 
-	segs := b.path.Segments
+	segs := b.segs[b.segStart:len(b.segs):len(b.segs)]
 	if len(segs) == 0 {
-		return nil
+		return false
 	}
 	first, last := segs[0], segs[len(segs)-1]
 	b.path.TotalNanos = last.StartNanos + last.DurNanos - first.StartNanos
-	b.path.Shape = shapeOf(segs)
-	return b.path
+	b.path.Segments = segs
+	b.path.Shape = b.shapeOf(segs)
+	return true
 }
 
-// rootBreadcrumb picks the path's root hop: the shallowest breadcrumb
-// observed, earliest first on ties.
-func (b *pathBuilder) rootBreadcrumb() (core.Breadcrumb, bool) {
-	best := core.Breadcrumb(0)
-	bestDepth, bestStart := int(^uint(0)>>1), int64(0)
-	found := false
-	consider := func(bc core.Breadcrumb, start int64) {
-		d := bc.Depth()
-		if !found || d < bestDepth || (d == bestDepth && start < bestStart) {
-			best, bestDepth, bestStart, found = bc, d, start, true
+// index groups the span positions per (side, breadcrumb) by start time
+// and resets the per-request flags.
+func (b *pathBuilder) index() {
+	n := len(b.spans)
+	b.byBC = b.byBC[:0]
+	for i := range b.spans {
+		b.byBC = append(b.byBC, int32(i))
+		if b.spans[i].BatchID != 0 {
+			b.path.Batched = true
 		}
 	}
-	for bc, idx := range b.clientByBC {
-		consider(bc, b.spans[idx[0]].StartNanos)
-	}
-	if !found {
-		for bc, idx := range b.serverByBC {
-			consider(bc, b.spans[idx[0]].StartNanos)
+	slices.SortFunc(b.byBC, func(i, j int32) int {
+		si, sj := &b.spans[i], &b.spans[j]
+		if ci, cj := si.Kind == "CLIENT", sj.Kind == "CLIENT"; ci != cj {
+			if ci {
+				return -1
+			}
+			return 1
 		}
+		switch {
+		case si.Breadcrumb != sj.Breadcrumb:
+			return cmp.Compare(si.Breadcrumb, sj.Breadcrumb)
+		case si.StartNanos != sj.StartNanos:
+			return cmp.Compare(si.StartNanos, sj.StartNanos)
+		}
+		return cmp.Compare(i, j)
+	})
+	b.groups, b.nClient = b.groups[:0], 0
+	for k := 0; k < n; {
+		s := &b.spans[b.byBC[k]]
+		end := k + 1
+		for end < n {
+			t := &b.spans[b.byBC[end]]
+			if t.Breadcrumb != s.Breadcrumb || t.Kind != s.Kind {
+				break
+			}
+			end++
+		}
+		b.groups = append(b.groups, spanGroup{bc: s.Breadcrumb, lo: int32(k), hi: int32(end)})
+		if s.Kind == "CLIENT" {
+			b.nClient++
+		}
+		k = end
 	}
-	return best, found
+	b.serverUsed = slices.Grow(b.serverUsed[:0], n)[:n]
+	clear(b.serverUsed)
 }
 
-// emit appends one segment, dropping empty intervals.
+// group returns the positions of the spans of one (side, breadcrumb),
+// ordered by start time.
+func (b *pathBuilder) group(client bool, bc core.Breadcrumb) []int32 {
+	gs := b.groups[b.nClient:]
+	if client {
+		gs = b.groups[:b.nClient]
+	}
+	k, ok := slices.BinarySearchFunc(gs, bc, func(g spanGroup, bc core.Breadcrumb) int {
+		return cmp.Compare(g.bc, bc)
+	})
+	if !ok {
+		return nil
+	}
+	return b.byBC[gs[k].lo:gs[k].hi]
+}
+
+// rootGroup picks the path's root hop: the shallowest breadcrumb
+// observed, earliest first, then lowest breadcrumb on ties. Client
+// views are preferred; server groups count only when no client span
+// exists. It returns the group's index in b.groups.
+func (b *pathBuilder) rootGroup() (int, bool) {
+	lo, hi := 0, b.nClient
+	if b.nClient == 0 {
+		hi = len(b.groups)
+	}
+	best, bestDepth, bestStart := -1, 0, int64(0)
+	for g := lo; g < hi; g++ {
+		d := b.groups[g].bc.Depth()
+		start := b.spans[b.byBC[b.groups[g].lo]].StartNanos
+		if best < 0 || d < bestDepth || (d == bestDepth && start < bestStart) {
+			best, bestDepth, bestStart = g, d, start
+		}
+	}
+	return best, best >= 0
+}
+
+// emit appends one segment to the slab, dropping empty intervals.
 func (b *pathBuilder) emit(seg PathSegment) {
 	if seg.DurNanos <= 0 {
 		return
 	}
-	b.path.Segments = append(b.path.Segments, seg)
+	if len(b.segs) == cap(b.segs) {
+		// Start a new chunk, carrying the in-progress path over so its
+		// segments stay contiguous; earlier paths keep the old chunk.
+		cur := b.segs[b.segStart:]
+		next := make([]PathSegment, len(cur), max(b.chunk, 2*len(cur)+8))
+		copy(next, cur)
+		b.segs, b.segStart = next, 0
+	}
+	b.segs = append(b.segs, seg)
 }
 
 // expandHop walks one hop's client attempts (retries share the
@@ -286,25 +378,26 @@ func (b *pathBuilder) emit(seg PathSegment) {
 // are reduced to the dominant one — the span ending last bounds
 // completion, so it alone is on the critical path and siblings do not
 // count as retry attempts.
-func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
-	chain := make([]int, 0, len(attempts))
+func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int32) int {
+	base := len(b.chain)
 	for _, i := range attempts {
-		s := b.spans[i]
-		if len(chain) == 0 {
-			chain = append(chain, i)
+		s := &b.spans[i]
+		if len(b.chain) == base {
+			b.chain = append(b.chain, i)
 			continue
 		}
-		last := b.spans[chain[len(chain)-1]]
+		last := &b.spans[b.chain[len(b.chain)-1]]
 		if s.StartNanos >= last.StartNanos+last.DurNanos {
-			chain = append(chain, i) // sequential: a retry attempt
+			b.chain = append(b.chain, i) // sequential: a retry attempt
 		} else if s.StartNanos+s.DurNanos > last.StartNanos+last.DurNanos {
-			chain[len(chain)-1] = i // overlapping sibling: keep dominant
+			b.chain[len(b.chain)-1] = i // overlapping sibling: keep dominant
 		}
 	}
+	end := len(b.chain)
 	var prevEnd int64
-	for k, i := range chain {
-		s := b.spans[i]
-		if k > 0 {
+	for k := base; k < end; k++ {
+		s := &b.spans[b.chain[k]]
+		if k > base {
 			if gap := s.StartNanos - prevEnd; gap > 0 {
 				b.emit(PathSegment{
 					Kind: SegBackoff, RPC: s.RPCName, Entity: s.Entity,
@@ -317,18 +410,17 @@ func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
 		// failed attempt (dropped request, no target view) from
 		// stealing its retry's server span.
 		var nextStart int64
-		if k+1 < len(chain) {
-			nextStart = b.spans[chain[k+1]].StartNanos
+		if k+1 < end {
+			nextStart = b.spans[b.chain[k+1]].StartNanos
 		}
 		b.expandAttempt(s, nextStart)
 		prevEnd = s.StartNanos + s.DurNanos
 	}
-	if len(chain) > 0 {
-		if term := b.spans[chain[len(chain)-1]]; term.Failed {
-			b.path.Failed = true
-		}
+	if end > base && b.spans[b.chain[end-1]].Failed {
+		b.path.Failed = true
 	}
-	return len(chain)
+	b.chain = b.chain[:base]
+	return end - base
 }
 
 // expandAttempt decomposes one client attempt into batch-window wait,
@@ -336,7 +428,7 @@ func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
 // response transit. An attempt with no target view degrades to one
 // unmatched segment. nextStart, when nonzero, is when the following
 // retry attempt began: server executions at or past it are off-limits.
-func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
+func (b *pathBuilder) expandAttempt(cs *Span, nextStart int64) {
 	depth := cs.Breadcrumb.Depth()
 	cursor := cs.StartNanos
 	csEnd := cs.StartNanos + cs.DurNanos
@@ -369,7 +461,7 @@ func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
 		return
 	}
 	b.serverUsed[si] = true
-	ss := b.spans[si]
+	ss := &b.spans[si]
 	ssEnd := ss.StartNanos + ss.DurNanos
 
 	queue := ss.QueueNanos
@@ -390,7 +482,7 @@ func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
 		Depth: depth, StartNanos: ss.StartNanos - queue, DurNanos: queue, Failed: cs.Failed,
 	})
 
-	b.expandServer(ss)
+	b.expandServer(si)
 
 	if net := csEnd - ssEnd; net > 0 {
 		b.emit(PathSegment{
@@ -404,57 +496,56 @@ func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
 // interleaved with nested hops issued by the handler. Calls from one
 // handler ULT are sequential, so the interior decomposes linearly; the
 // nested hops recurse through expandHop.
-func (b *pathBuilder) expandServer(ss Span) {
+func (b *pathBuilder) expandServer(si int32) {
+	ss := &b.spans[si]
 	depth := ss.Breadcrumb.Depth()
 	start, end := ss.StartNanos, ss.StartNanos+ss.DurNanos
 
 	// Child hops: client spans issued by this entity whose callpath
 	// extends this hop's, starting inside this span's window.
-	type childGroup struct {
-		bc       core.Breadcrumb
-		idx      []int
-		from, to int64
-	}
-	var children []childGroup
-	for bc, idx := range b.clientByBC {
-		if bc.Parent() != ss.Breadcrumb || bc == ss.Breadcrumb {
+	base, posBase := len(b.children), len(b.childPos)
+	for _, g := range b.groups[:b.nClient] {
+		if g.bc.Parent() != ss.Breadcrumb || g.bc == ss.Breadcrumb {
 			continue
 		}
-		var mine []int
+		lo := len(b.childPos)
 		var from, to int64
-		for _, i := range idx {
-			s := b.spans[i]
+		for _, i := range b.byBC[g.lo:g.hi] {
+			s := &b.spans[i]
 			if s.Entity != ss.Entity || s.StartNanos < start || s.StartNanos > end {
 				continue
 			}
-			if len(mine) == 0 || s.StartNanos < from {
+			if len(b.childPos) == lo || s.StartNanos < from {
 				from = s.StartNanos
 			}
 			if e := s.StartNanos + s.DurNanos; e > to {
 				to = e
 			}
-			mine = append(mine, i)
+			b.childPos = append(b.childPos, i)
 		}
-		if len(mine) > 0 {
-			children = append(children, childGroup{bc: bc, idx: mine, from: from, to: to})
+		if hi := len(b.childPos); hi > lo {
+			b.children = append(b.children, childHop{bc: g.bc, lo: int32(lo), hi: int32(hi), from: from, to: to})
 		}
 	}
-	sort.Slice(children, func(i, j int) bool {
-		if children[i].from != children[j].from {
-			return children[i].from < children[j].from
+	slices.SortFunc(b.children[base:], func(x, y childHop) int {
+		if x.from != y.from {
+			return cmp.Compare(x.from, y.from)
 		}
-		return children[i].bc < children[j].bc
+		return cmp.Compare(x.bc, y.bc)
 	})
 
+	// The stacks may be reallocated by the recursion, so index them
+	// afresh on every step.
 	cursor := start
-	for _, ch := range children {
+	for k, n := base, len(b.children); k < n; k++ {
+		ch := b.children[k]
 		if ch.from > cursor {
 			b.emit(PathSegment{
 				Kind: SegExec, RPC: ss.RPCName, Entity: ss.Entity,
 				Depth: depth, StartNanos: cursor, DurNanos: ch.from - cursor, Failed: ss.Failed,
 			})
 		}
-		b.expandHop(ch.bc, ch.idx)
+		b.expandHop(ch.bc, b.childPos[ch.lo:ch.hi])
 		if ch.to > cursor {
 			cursor = ch.to
 		}
@@ -465,6 +556,7 @@ func (b *pathBuilder) expandServer(ss Span) {
 			Depth: depth, StartNanos: cursor, DurNanos: end - cursor, Failed: ss.Failed,
 		})
 	}
+	b.children, b.childPos = b.children[:base], b.childPos[:posBase]
 }
 
 // matchServer finds the unused target view of one client attempt: the
@@ -477,12 +569,12 @@ func (b *pathBuilder) expandServer(ss Span) {
 // with the first execution's t5, so Lamport order alone cannot split
 // attempts. It misattributes only when cross-process clock skew
 // exceeds the retry backoff gap.)
-func (b *pathBuilder) matchServer(cs Span, beforeNanos int64) int {
-	for _, i := range b.serverByBC[cs.Breadcrumb] {
+func (b *pathBuilder) matchServer(cs *Span, beforeNanos int64) int32 {
+	for _, i := range b.group(false, cs.Breadcrumb) {
 		if b.serverUsed[i] {
 			continue
 		}
-		s := b.spans[i]
+		s := &b.spans[i]
 		if s.StartOrder < cs.StartOrder {
 			continue
 		}
@@ -497,39 +589,49 @@ func (b *pathBuilder) matchServer(cs Span, beforeNanos int64) int {
 // shapeOf builds the fold key: one token per segment, encoding kind,
 // hop RPC, and depth — entities are deliberately excluded so the same
 // logical path through different shards/processes folds together.
-func shapeOf(segs []PathSegment) string {
-	var sb strings.Builder
-	for i, s := range segs {
+func (b *pathBuilder) shapeOf(segs []PathSegment) string {
+	buf := b.shape[:0]
+	for i := range segs {
+		s := &segs[i]
 		if i > 0 {
-			sb.WriteByte('|')
+			buf = append(buf, '|')
 		}
-		fmt.Fprintf(&sb, "%d:%s.%s", s.Depth, s.RPC, s.Kind)
+		buf = strconv.AppendInt(buf, int64(s.Depth), 10)
+		buf = append(buf, ':')
+		buf = append(buf, s.RPC...)
+		buf = append(buf, '.')
+		buf = append(buf, s.Kind.String()...)
 	}
-	return sb.String()
+	b.shape = buf
+	if b.shapes == nil {
+		return string(buf)
+	}
+	if shape, ok := b.shapes[string(buf)]; ok {
+		return shape
+	}
+	shape := string(buf)
+	b.shapes[shape] = shape
+	return shape
 }
 
 // IncompleteRequests counts requests whose span set lacks any t5/t8
 // target pair despite having origin events — requests that would
 // otherwise be silently skipped by span-level analyses.
 func (ts *TraceSet) IncompleteRequests() int {
-	type seen struct{ origin, target bool }
-	byReq := make(map[uint64]*seen)
-	for _, e := range ts.Events {
-		s := byReq[e.RequestID]
-		if s == nil {
-			s = &seen{}
-			byReq[e.RequestID] = s
-		}
+	const origin, target = 1, 2
+	seen := make(map[uint64]uint8)
+	for i := range ts.Events {
+		e := &ts.Events[i]
 		switch e.Kind {
 		case core.EvOriginStart, core.EvOriginEnd:
-			s.origin = true
+			seen[e.RequestID] |= origin
 		case core.EvTargetStart, core.EvTargetEnd:
-			s.target = true
+			seen[e.RequestID] |= target
 		}
 	}
 	n := 0
-	for _, s := range byReq {
-		if s.origin && !s.target {
+	for _, s := range seen {
+		if s == origin {
 			n++
 		}
 	}

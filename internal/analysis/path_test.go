@@ -432,16 +432,21 @@ func TestPathFromSpansEmpty(t *testing.T) {
 
 var benchSinkPaths []CriticalPath
 
-// BenchmarkExtractPaths is mirrored by the perfgate critical-path
-// scenario; keep the workload shapes in sync.
-func BenchmarkExtractPaths(b *testing.B) {
+// twoHopDumps fabricates n clean two-hop requests, one dump each.
+func twoHopDumps(n int) []*core.TraceDump {
 	var dumps []*core.TraceDump
-	for i := 0; i < 64; i++ {
+	for i := 0; i < n; i++ {
 		dumps = append(dumps, &core.TraceDump{
 			Entity: "d", Events: twoHopEvents(uint64(i+1), pathTraceBase+int64(i)*10_000),
 		})
 	}
-	ts := MergeTraces(dumps)
+	return dumps
+}
+
+// BenchmarkExtractPaths is mirrored by the perfgate critical-path
+// scenario; keep the workload shapes in sync.
+func BenchmarkExtractPaths(b *testing.B) {
+	ts := MergeTraces(twoHopDumps(64))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,6 +24,13 @@ type TraceSet struct {
 // MergeTraces combines trace dumps from every process.
 func MergeTraces(dumps []*core.TraceDump) *TraceSet {
 	ts := &TraceSet{DroppedBy: make(map[string]uint64)}
+	n := 0
+	for _, d := range dumps {
+		n += len(d.Events)
+	}
+	if n > 0 {
+		ts.Events = make([]core.Event, 0, n)
+	}
 	for _, d := range dumps {
 		ts.Events = append(ts.Events, d.Events...)
 		ts.Dropped += d.Dropped
@@ -63,19 +72,67 @@ func (s *CollectSink) TraceSet() *TraceSet {
 	return out
 }
 
-// Requests groups events by request ID, each group sorted by Lamport
-// order (the clock-skew-tolerant ordering of the paper §IV-A2).
-func (ts *TraceSet) Requests() map[uint64][]core.Event {
-	out := make(map[uint64][]core.Event)
-	for _, e := range ts.Events {
-		out[e.RequestID] = append(out[e.RequestID], e)
+// requestKey places one event in the grouped-request order.
+type requestKey struct {
+	req, order uint64
+	pos        int32
+}
+
+// groupRequests returns the positions of ts.Events ordered by request
+// ID, then Lamport order, then position, plus the number of distinct
+// request IDs. Only these small keys are sorted; the events stay put.
+func (ts *TraceSet) groupRequests() ([]int32, int) {
+	keys := make([]requestKey, len(ts.Events))
+	for i := range ts.Events {
+		e := &ts.Events[i]
+		keys[i] = requestKey{req: e.RequestID, order: e.Order, pos: int32(i)}
 	}
-	for id := range out {
-		evs := out[id]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Order < evs[j].Order })
-		out[id] = evs
+	slices.SortFunc(keys, func(a, b requestKey) int {
+		switch {
+		case a.req != b.req:
+			return cmp.Compare(a.req, b.req)
+		case a.order != b.order:
+			return cmp.Compare(a.order, b.order)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	pos := make([]int32, len(keys))
+	n := 0
+	for i, k := range keys {
+		pos[i] = k.pos
+		if i == 0 || k.req != keys[i-1].req {
+			n++
+		}
 	}
-	return out
+	return pos, n
+}
+
+// walkRequests calls fn for each request group of pos (groupRequests
+// output), rebuilding its spans into one reused buffer.
+func (ts *TraceSet) walkRequests(pos []int32, fn func(id uint64, events []int32, spans []Span)) {
+	var sb spanBuilder
+	for lo := 0; lo < len(pos); {
+		id := ts.Events[pos[lo]].RequestID
+		hi := lo + 1
+		for hi < len(pos) && ts.Events[pos[hi]].RequestID == id {
+			hi++
+		}
+		evs := pos[lo:hi:hi]
+		fn(id, evs, sb.build(id, ts.Events, evs))
+		lo = hi
+	}
+}
+
+// ForEachRequest walks the trace set grouped by request: fn runs once
+// per request ID, in ascending order, with the positions in ts.Events
+// of the request's events in Lamport order (the clock-skew-tolerant
+// ordering of the paper §IV-A2; ties keep their ts.Events order) and
+// the spans SpansOf reconstructs from them. No event is copied, and
+// both slices are scratch reused across calls: fn must copy what it
+// keeps.
+func (ts *TraceSet) ForEachRequest(fn func(id uint64, events []int32, spans []Span)) {
+	pos, _ := ts.groupRequests()
+	ts.walkRequests(pos, fn)
 }
 
 // RequestIDs returns all request IDs, sorted.
@@ -117,16 +174,22 @@ type Span struct {
 }
 
 // Spans reconstructs the call intervals of one request. Prefer
-// SpansOf with pre-grouped events when iterating many requests.
+// ForEachRequest when iterating many requests.
 func (ts *TraceSet) Spans(requestID uint64) []Span {
-	var evs []core.Event
-	for _, e := range ts.Events {
-		if e.RequestID == requestID {
-			evs = append(evs, e)
+	var pos []int32
+	for i := range ts.Events {
+		if ts.Events[i].RequestID == requestID {
+			pos = append(pos, int32(i))
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Order < evs[j].Order })
-	return SpansOf(requestID, evs)
+	if len(pos) == 0 {
+		return nil // a nil pos would select every event
+	}
+	slices.SortStableFunc(pos, func(a, b int32) int {
+		return cmp.Compare(ts.Events[a].Order, ts.Events[b].Order)
+	})
+	var sb spanBuilder
+	return sb.build(requestID, ts.Events, pos)
 }
 
 // SpansOf reconstructs the call intervals of one request from its
@@ -135,56 +198,82 @@ func (ts *TraceSet) Spans(requestID uint64) []Span {
 // (calls from one ULT are sequential, so FIFO pairing is exact there
 // and a close approximation for concurrent same-callpath calls).
 func SpansOf(requestID uint64, evs []core.Event) []Span {
-	type pairKey struct {
-		entity string
-		bc     core.Breadcrumb
-		client bool
+	var sb spanBuilder
+	return sb.build(requestID, evs, nil)
+}
+
+// spanBuilder is SpansOf's reusable state: the span buffer and the
+// queue of unmatched start events.
+type spanBuilder struct {
+	spans []Span
+	// open holds the positions of unmatched start events, oldest
+	// first. A request has few calls in flight at once, so a linear
+	// scan of it beats a map keyed by (entity, breadcrumb, side).
+	open []int32
+}
+
+// build reconstructs one request's spans from evs[i] for each i in pos
+// (all of evs, in order, when pos is nil). The result aliases the
+// builder's buffer and is overwritten by the next build.
+func (sb *spanBuilder) build(requestID uint64, evs []core.Event, pos []int32) []Span {
+	sb.spans, sb.open = sb.spans[:0], sb.open[:0]
+	n := len(pos)
+	if pos == nil {
+		n = len(evs)
 	}
-	open := make(map[pairKey][]core.Event)
-	var spans []Span
-	for _, e := range evs {
+	for k := 0; k < n; k++ {
+		i := int32(k)
+		if pos != nil {
+			i = pos[k]
+		}
+		e := &evs[i]
 		switch e.Kind {
 		case core.EvOriginStart, core.EvTargetStart:
-			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginStart}
-			open[k] = append(open[k], e)
+			sb.open = append(sb.open, i)
+			continue
 		case core.EvOriginEnd, core.EvTargetEnd:
-			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginEnd}
-			q := open[k]
-			if len(q) == 0 {
-				continue // unmatched end (dropped start)
-			}
-			start := q[0]
-			open[k] = q[1:]
-			kind := "SERVER"
-			if e.Kind == core.EvOriginEnd {
-				kind = "CLIENT"
-			}
-			dur := e.Duration
-			if dur == 0 {
-				dur = e.Timestamp - start.Timestamp
-			}
-			spans = append(spans, Span{
-				RequestID:  requestID,
-				Breadcrumb: core.Breadcrumb(e.Breadcrumb),
-				RPCName:    e.RPCName,
-				Entity:     e.Entity,
-				Kind:       kind,
-				StartNanos: start.Timestamp,
-				DurNanos:   dur,
-				StartOrder: start.Order,
-				Failed:     e.Failed,
-				// Queue wait rides the start (t5) event, window wait
-				// and batch identity the end (t14) event.
-				QueueNanos:  start.QueueNanos,
-				WindowNanos: e.WindowNanos,
-				BatchID:     e.BatchID,
-				Sys:         e.Sys,
-				PVars:       e.PVars,
-			})
+		default:
+			continue
 		}
+		startKind := core.EvTargetStart
+		kind := "SERVER"
+		if e.Kind == core.EvOriginEnd {
+			startKind, kind = core.EvOriginStart, "CLIENT"
+		}
+		j := slices.IndexFunc(sb.open, func(o int32) bool {
+			s := &evs[o]
+			return s.Kind == startKind && s.Breadcrumb == e.Breadcrumb && s.Entity == e.Entity
+		})
+		if j < 0 {
+			continue // unmatched end (dropped start)
+		}
+		start := &evs[sb.open[j]]
+		sb.open = slices.Delete(sb.open, j, j+1)
+		dur := e.Duration
+		if dur == 0 {
+			dur = e.Timestamp - start.Timestamp
+		}
+		sb.spans = append(sb.spans, Span{
+			RequestID:  requestID,
+			Breadcrumb: core.Breadcrumb(e.Breadcrumb),
+			RPCName:    e.RPCName,
+			Entity:     e.Entity,
+			Kind:       kind,
+			StartNanos: start.Timestamp,
+			DurNanos:   dur,
+			StartOrder: start.Order,
+			Failed:     e.Failed,
+			// Queue wait rides the start (t5) event, window wait
+			// and batch identity the end (t14) event.
+			QueueNanos:  start.QueueNanos,
+			WindowNanos: e.WindowNanos,
+			BatchID:     e.BatchID,
+			Sys:         e.Sys,
+			PVars:       e.PVars,
+		})
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].StartOrder < spans[j].StartOrder })
-	return spans
+	slices.SortFunc(sb.spans, func(a, b Span) int { return cmp.Compare(a.StartOrder, b.StartOrder) })
+	return sb.spans
 }
 
 // ZipkinSpan is the Zipkin v2 JSON span format the paper's adapter

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,13 +225,17 @@ func (c *Collector) mergeStats(origin bool) map[StatKey]CallStats {
 }
 
 // Events returns a merged copy of all shard trace rings, ordered by
-// timestamp then Lamport order (per-shard emission order is preserved;
-// the cross-shard interleave is reconstructed the same way the offline
-// analysis orders events).
+// timestamp, then Lamport order, then request ID; events tied on all
+// three keep their position in the shard concatenation, so per-shard
+// emission order is preserved. The cross-shard interleave is
+// reconstructed the same way the offline analysis orders events.
 func (c *Collector) Events() []Event {
-	var out []Event
+	out := make([]Event, 0, c.TraceLen())
 	for i := range c.shards {
-		out = append(out, c.shards[i].trace.Events()...)
+		out = c.shards[i].trace.appendTo(out)
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	sortEvents(out)
 	return out
@@ -255,18 +260,58 @@ func (c *Collector) Dropped() uint64 {
 	return n
 }
 
-// sortEvents orders a merged event slice by timestamp, breaking ties by
-// Lamport order then request ID for determinism.
+// eventKey is one event's sort key: the ordering fields plus the
+// event's position, which makes every key distinct and the order
+// stable without a stable sort.
+type eventKey struct {
+	ts    int64
+	order uint64
+	req   uint64
+	pos   int
+}
+
+func cmpEventKey(a, b eventKey) int {
+	switch {
+	case a.ts != b.ts:
+		return cmp.Compare(a.ts, b.ts)
+	case a.order != b.order:
+		return cmp.Compare(a.order, b.order)
+	case a.req != b.req:
+		return cmp.Compare(a.req, b.req)
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// sortEvents stably orders a merged event slice by timestamp, breaking
+// ties by Lamport order then request ID. It sorts 32-byte keys rather
+// than the events themselves, then moves each event once into place by
+// following the permutation's cycles.
 func sortEvents(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Timestamp != evs[j].Timestamp {
-			return evs[i].Timestamp < evs[j].Timestamp
+	keys := make([]eventKey, len(evs))
+	for i := range evs {
+		e := &evs[i]
+		keys[i] = eventKey{ts: e.Timestamp, order: e.Order, req: e.RequestID, pos: i}
+	}
+	slices.SortFunc(keys, cmpEventKey)
+	// Slot r receives evs[keys[r].pos]; a settled slot's pos is set to
+	// r so every cycle is walked once.
+	for r := range keys {
+		if keys[r].pos == r {
+			continue
 		}
-		if evs[i].Order != evs[j].Order {
-			return evs[i].Order < evs[j].Order
+		tmp := evs[r]
+		j := r
+		for {
+			src := keys[j].pos
+			keys[j].pos = j
+			if src == r {
+				evs[j] = tmp
+				break
+			}
+			evs[j] = evs[src]
+			j = src
 		}
-		return evs[i].RequestID < evs[j].RequestID
-	})
+	}
 }
 
 // Reset clears every shard's profile maps and trace ring (between

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +302,44 @@ func TestCollectorEventsOrdered(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Timestamp < evs[i-1].Timestamp {
 			t.Fatalf("events unsorted: %v", evs)
+		}
+	}
+}
+
+// TestCollectorEventsMatchStableSort: the key-sorting merge equals a
+// stable sort of the shard concatenation by (timestamp, Lamport order,
+// request ID), with events tied on all three — across shards and
+// within one — keeping their concatenation order.
+func TestCollectorEventsMatchStableSort(t *testing.T) {
+	// An empty collector dumps a nil slice, as the append-based merge
+	// did (`"events": null` in the JSON dump).
+	if evs := NewCollector(4, 64).Events(); evs != nil {
+		t.Fatalf("empty collector: events = %#v, want nil", evs)
+	}
+	r := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 100; iter++ {
+		c := NewCollector(1<<r.Intn(4), 1024)
+		for n := r.Intn(300); n > 0; n-- {
+			c.Emit(uint64(r.Intn(16)), Event{
+				RequestID: uint64(r.Intn(4)), Order: uint64(r.Intn(6)),
+				Timestamp: int64(1 + r.Intn(5)), Duration: int64(n),
+			})
+		}
+		var want []Event
+		for i := range c.shards {
+			want = append(want, c.shards[i].trace.Events()...)
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Timestamp != want[j].Timestamp {
+				return want[i].Timestamp < want[j].Timestamp
+			}
+			if want[i].Order != want[j].Order {
+				return want[i].Order < want[j].Order
+			}
+			return want[i].RequestID < want[j].RequestID
+		})
+		if got := c.Events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: merged events differ from the stable sort\ngot  %+v\nwant %+v", iter, got, want)
 		}
 	}
 }

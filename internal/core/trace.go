@@ -162,6 +162,13 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
+// appendTo appends the buffered events to dst in emission order.
+func (t *Tracer) appendTo(dst []Event) []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append(dst, t.events...)
+}
+
 // Reset clears the buffer (between experiment repetitions).
 func (t *Tracer) Reset() {
 	t.mu.Lock()

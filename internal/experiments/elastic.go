@@ -474,13 +474,13 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	// in the merged trace set.
 	_, traceDumps := cluster.Collect()
 	ts := analysis.MergeTraces(traceDumps)
-	for id, evs := range ts.Requests() {
-		for _, sp := range analysis.SpansOf(id, evs) {
+	ts.ForEachRequest(func(_ uint64, _ []int32, spans []analysis.Span) {
+		for _, sp := range spans {
 			if strings.HasPrefix(sp.RPCName, "ekv_migrate_") {
 				res.MigrateSpans++
 			}
 		}
-	}
+	})
 	if cfg.Report.enabled() {
 		path, err := cfg.Report.writeFlame("elastic-flame",
 			"Elastic scale-out: dominant critical paths under migration", traceDumps)

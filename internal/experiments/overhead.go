@@ -112,11 +112,10 @@ func TimeAnalyses(profiles []*core.ProfileDump, traces []*core.TraceDump, sink i
 	start = time.Now()
 	ts := analysis.MergeTraces(traces)
 	t.TraceEvents = len(ts.Events)
-	reqs := ts.Requests()
-	t.Requests = len(reqs)
-	for id, evs := range reqs {
-		t.SpansBuilt += len(analysis.SpansOf(id, evs))
-	}
+	ts.ForEachRequest(func(_ uint64, _ []int32, spans []analysis.Span) {
+		t.Requests++
+		t.SpansBuilt += len(spans)
+	})
 	t.TraceSummary = time.Since(start)
 
 	start = time.Now()

@@ -402,13 +402,13 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		}
 	}
 	ts := analysis.MergeTraces(traceDumps)
-	for id, evs := range ts.Requests() {
-		for _, sp := range analysis.SpansOf(id, evs) {
+	ts.ForEachRequest(func(_ uint64, _ []int32, spans []analysis.Span) {
+		for _, sp := range spans {
 			if sp.Kind == "SERVER" && sp.Failed {
 				res.FailedServerSpans++
 			}
 		}
-	}
+	})
 	if cfg.Report.enabled() {
 		path, err := cfg.Report.writeFlame("overload-flame",
 			"Overload storm: dominant critical paths", traceDumps)

@@ -75,7 +75,9 @@ type Options struct {
 	// Progress Thread?" remediation (paper §V-C4). Default false.
 	DedicatedProgressES bool
 
-	// Stage is the SYMBIOSYS measurement stage. Default StageFull.
+	// Stage is the SYMBIOSYS measurement stage. It has no default: the
+	// zero value, StageOff (the uninstrumented baseline), applies
+	// unless the caller sets one, e.g. core.StageFull for full support.
 	Stage core.Stage
 
 	// ProgressTimeout bounds how long an idle progress pass blocks
