@@ -13,11 +13,16 @@
 //   - internal/mercury   — Mercury-like RPC: proc codec, eager+RDMA path, bulk,
 //     progress/trigger, and the PVAR introspection interface
 //   - internal/margo     — Margo-like glue hosting the SYMBIOSYS instrumentation
+//   - internal/batch     — the adaptive batch window behind margo's coalescer
 //   - internal/core      — the paper's contribution: breadcrumb callpaths,
 //     distributed tracing, measurement stages, profile/trace formats
+//   - internal/telemetry — live sampler and /metrics exposition
+//   - internal/policy    — §VII rule engine fed by the telemetry sampler
 //   - internal/analysis  — profile summary, Zipkin trace stitching, saturation
-//     series, system statistics
-//   - internal/services  — BAKE, SDSKV, Sonata, Mobject, HEPnOS microservices
+//     series, system statistics, critical paths
+//   - internal/kv        — storage backends: B-tree "map", "shardedmap"
+//   - internal/ssg       — service group membership
+//   - internal/services  — BAKE, SDSKV, Sonata, Mobject, HEPnOS, ekv microservices
 //   - internal/workload  — ior and HEPnOS data-loader drivers
 //   - internal/experiments — the paper's case studies (Figures 5–13, Tables IV–V)
 //

@@ -1,6 +1,6 @@
 // Autotune example: the paper's §VII future work in action. A server
-// starts deliberately undersized (1 execution stream, OFI budget 4);
-// the policy engine watches SYMBIOSYS measurements live and applies the
+// starts deliberately undersized (1 execution stream); the policy
+// engine watches its live telemetry sampler and applies the
 // paper's remediations by itself — growing the handler pool when the
 // target handler time dominates (the C1→C2 move) and raising
 // OFI_max_events when the progress loop keeps reading at its budget
@@ -23,6 +23,7 @@ import (
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
 	"symbiosys/internal/policy"
+	"symbiosys/internal/telemetry"
 )
 
 func main() {
@@ -31,6 +32,7 @@ func main() {
 		Mode: margo.ModeServer, Node: "n1", Name: "svc", Fabric: fabric,
 		HandlerStreams: 1, // deliberately undersized
 		Stage:          core.StageFull,
+		Telemetry:      &telemetry.Options{Interval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -53,7 +55,10 @@ func main() {
 
 	// Formulate the policies (paper §VII: rules governing response to
 	// poor performance behavior).
-	engine := policy.NewEngine(server, 5*time.Millisecond)
+	engine, err := policy.NewEngine(server)
+	if err != nil {
+		log.Fatal(err)
+	}
 	engine.AddRule("grow-handler-pool",
 		policy.HandlerSaturated(0.30, time.Millisecond),
 		policy.AddHandlerStreams{N: 4, Max: 16},

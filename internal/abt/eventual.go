@@ -40,29 +40,6 @@ func (e *Eventual) Set(v any) {
 	}
 }
 
-// TrySet stores the value if the eventual is still unset, reporting
-// whether this call won. Use when multiple parties race to complete.
-func (e *Eventual) TrySet(v any) bool {
-	e.mu.Lock()
-	if e.isSet {
-		e.mu.Unlock()
-		return false
-	}
-	e.isSet = true
-	e.val = v
-	waiters := e.waiters
-	e.waiters = nil
-	ext := e.extCh
-	e.mu.Unlock()
-	if ext != nil {
-		close(ext)
-	}
-	for _, w := range waiters {
-		w.ready()
-	}
-	return true
-}
-
 // IsSet reports whether the eventual has been set.
 func (e *Eventual) IsSet() bool {
 	e.mu.Lock()

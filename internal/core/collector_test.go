@@ -262,30 +262,6 @@ func TestTracerImplementsTraceSink(t *testing.T) {
 	}
 }
 
-// TestJSONLProfileSinkRoundTrip checks streamed profile dumps parse
-// back (one JSON object per line).
-func TestJSONLProfileSinkRoundTrip(t *testing.T) {
-	p := NewProfiler("jsonl/p", StageFull)
-	p.Names().Register("x_rpc")
-	p.RecordOrigin(Breadcrumb(0).Push("x_rpc"), "peer", time.Millisecond, nil)
-
-	var buf bytes.Buffer
-	sink := NewJSONLProfileSink(&buf)
-	if err := sink.WriteProfileDump(p.Dump()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Entity != "jsonl/p" || len(got.Origin) != 1 {
-		t.Fatalf("round trip = %+v", got)
-	}
-}
-
 // TestCollectorEventsOrdered verifies the merged snapshot comes out in
 // timestamp-then-Lamport order regardless of shard placement.
 func TestCollectorEventsOrdered(t *testing.T) {

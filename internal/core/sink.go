@@ -22,14 +22,6 @@ type TraceSink interface {
 	Flush() error
 }
 
-// ProfileSink consumes merged per-process profile snapshots.
-type ProfileSink interface {
-	// WriteProfileDump consumes one process's merged profile.
-	WriteProfileDump(d *ProfileDump) error
-	// Flush forces any buffered output out.
-	Flush() error
-}
-
 // Tracer is the default in-memory TraceSink: events accumulate in its
 // bounded buffer for end-of-run snapshots.
 var _ TraceSink = (*Tracer)(nil)
@@ -134,48 +126,4 @@ func ReadEventsJSONL(r io.Reader) (events []Event, truncated int, err error) {
 		truncated = 1
 	}
 	return events, truncated, nil
-}
-
-// JSONLProfileSink streams profile dumps as JSON Lines (one dump object
-// per line) to an io.Writer. Like JSONLTraceSink, write errors are
-// sticky and resurface from Flush.
-type JSONLProfileSink struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLProfileSink wraps w in a streaming JSONL profile sink.
-func NewJSONLProfileSink(w io.Writer) *JSONLProfileSink {
-	bw := bufio.NewWriter(w)
-	return &JSONLProfileSink{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// WriteProfileDump appends one merged profile snapshot as a JSON line.
-func (s *JSONLProfileSink) WriteProfileDump(d *ProfileDump) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.enc.Encode(d); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Flush drains the buffered output to the underlying writer, returning
-// the first error the sink has seen (including earlier write failures).
-func (s *JSONLProfileSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.bw.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Err reports the sink's sticky error, if any.
-func (s *JSONLProfileSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }

@@ -10,6 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -113,6 +114,18 @@ func (c *Cluster) ServeMetrics(addr string) (string, error) {
 		return "", fmt.Errorf("experiments: ServeMetrics before EnableTelemetry")
 	}
 	return c.exposer.Serve(addr)
+}
+
+// MetricsSnapshot forces a fresh sample on every instance, then renders
+// the /metrics exposition, so a post-run scrape reflects the final
+// counters. Requires EnableTelemetry first.
+func (c *Cluster) MetricsSnapshot() string {
+	for _, s := range c.exposer.Samplers() {
+		s.SampleOnce()
+	}
+	var b strings.Builder
+	c.exposer.WriteMetrics(&b)
+	return b.String()
 }
 
 // Instances returns every process started on the cluster.
@@ -230,36 +243,6 @@ func (c *Cluster) Collect() ([]*core.ProfileDump, []*core.TraceDump) {
 		traces = append(traces, inst.Profiler().DumpTrace())
 	}
 	return profiles, traces
-}
-
-// Export streams every process's merged profile snapshot and trace
-// events into the given sinks (either may be nil) — the pipeline-native
-// alternative to Collect for exporters that consume rather than own the
-// measurement buffers.
-func (c *Cluster) Export(ps core.ProfileSink, ts core.TraceSink) error {
-	for _, inst := range c.instances {
-		if ps != nil {
-			if err := ps.WriteProfileDump(inst.Profiler().Dump()); err != nil {
-				return fmt.Errorf("experiments: export profile for %s: %w", inst.Addr(), err)
-			}
-		}
-		if ts != nil {
-			for _, ev := range inst.Profiler().TraceEvents() {
-				if err := ts.WriteEvent(ev); err != nil {
-					return fmt.Errorf("experiments: export trace for %s: %w", inst.Addr(), err)
-				}
-			}
-		}
-	}
-	if ps != nil {
-		if err := ps.Flush(); err != nil {
-			return err
-		}
-	}
-	if ts != nil {
-		return ts.Flush()
-	}
-	return nil
 }
 
 // Analyze merges the cluster's dumps into the offline analysis views.

@@ -462,12 +462,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	}
 
 	if res.MetricsAddr != "" {
-		for _, s := range cluster.Exposer().Samplers() {
-			s.SampleOnce()
-		}
-		var b strings.Builder
-		cluster.Exposer().WriteMetrics(&b)
-		res.MetricsText = b.String()
+		res.MetricsText = cluster.MetricsSnapshot()
 	}
 
 	// Trace visibility: migration segments appear as ekv_migrate_* spans

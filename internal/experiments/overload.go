@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -384,14 +383,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	}
 
 	if res.MetricsAddr != "" {
-		// Force a fresh sample on every instance, then render the
-		// exposition so the scrape reflects the post-storm counters.
-		for _, s := range cluster.Exposer().Samplers() {
-			s.SampleOnce()
-		}
-		var b strings.Builder
-		cluster.Exposer().WriteMetrics(&b)
-		res.MetricsText = b.String()
+		res.MetricsText = cluster.MetricsSnapshot()
 	}
 
 	// Profile and trace visibility of the decisions.

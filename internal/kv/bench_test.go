@@ -44,8 +44,6 @@ func benchGet(b *testing.B, backend string) {
 
 func BenchmarkMapPut(b *testing.B)     { benchPut(b, "map") }
 func BenchmarkMapGet(b *testing.B)     { benchGet(b, "map") }
-func BenchmarkLevelDBPut(b *testing.B) { benchPut(b, "leveldb") }
-func BenchmarkLevelDBGet(b *testing.B) { benchGet(b, "leveldb") }
 func BenchmarkShardedPut(b *testing.B) { benchPut(b, "shardedmap") }
 func BenchmarkShardedGet(b *testing.B) { benchGet(b, "shardedmap") }
 

@@ -1,6 +1,6 @@
 // Package kv provides the key-value storage backends used by the SDSKV
 // microservice, standing in for the LevelDB / BerkeleyDB / std::map
-// backends of the paper (§V-C). Three engines with different concurrency
+// backends of the paper (§V-C). Two engines with different concurrency
 // and ordering properties are provided:
 //
 //   - "map": an ordered in-memory store backed by a B-tree, like the
@@ -8,8 +8,6 @@
 //     the property behind the write-serialization pathology of the
 //     paper's Figure 10 — so the service layer guards it with a single
 //     ULT mutex.
-//   - "leveldb": an LSM-flavored store (sorted memtable plus immutable
-//     frozen runs merged on read), also single-writer.
 //   - "shardedmap": a hash map sharded across independently locked
 //     buckets, supporting parallel insertion; unordered listing. Used by
 //     the ablation benchmarks to show the Figure 10 pathology vanish.
@@ -36,7 +34,7 @@ type Pair struct {
 type DB interface {
 	// Name returns the database's instance name.
 	Name() string
-	// Backend returns the engine identifier ("map", "leveldb", ...).
+	// Backend returns the engine identifier ("map", "shardedmap").
 	Backend() string
 	// Put stores value under key, replacing any previous value.
 	Put(key, value []byte) error
@@ -61,8 +59,6 @@ func Open(backend, name string) (DB, error) {
 	switch backend {
 	case "map":
 		return newBTreeDB(name, "map"), nil
-	case "leveldb":
-		return newLSMDB(name), nil
 	case "shardedmap":
 		return newShardedDB(name), nil
 	default:
@@ -71,4 +67,4 @@ func Open(backend, name string) (DB, error) {
 }
 
 // Backends lists the available engine identifiers.
-func Backends() []string { return []string{"map", "leveldb", "shardedmap"} }
+func Backends() []string { return []string{"map", "shardedmap"} }

@@ -36,6 +36,11 @@ const (
 	PVarBatchOccupancy    = "batch_window_occupancy"
 )
 
+// ErrShutdown fails a batched forward that reaches the coalescer after
+// it closed (at the end of Drain, or in Shutdown), and every op Shutdown
+// finds still waiting in an open window.
+var ErrShutdown = errors.New("margo: instance shut down")
+
 // batchOp is one coalesced forward waiting for its window to complete.
 // Ops are pooled; everything here is overwritten on acquire.
 type batchOp struct {
@@ -108,10 +113,6 @@ func (i *Instance) coalescerFor(target, rpcName string) *coalescer {
 	return co
 }
 
-// Batching reports whether the instance coalesces batched forwards
-// (Options.Batch was set).
-func (i *Instance) Batching() bool { return i.batchPol != nil }
-
 // ForwardBatched issues one RPC through the coalescer: the call blocks
 // like Forward, but the request travels inside a vectored frame with
 // whatever companions share its window. Without Options.Batch it
@@ -130,6 +131,7 @@ func (i *Instance) ForwardBatched(self *abt.ULT, target, rpcName string, in, out
 		return eerr
 	}
 	group.ev.Wait(self)
+	i.rpcDone()
 	return err
 }
 
@@ -168,6 +170,7 @@ func (i *Instance) ForwardMany(self *abt.ULT, target, rpcName string, ins, outs 
 	co := i.coalescerFor(target, rpcName)
 	group := &opGroup{ev: abt.NewEventual()}
 	group.remaining.Store(int32(len(ins)))
+	var enqueued int64
 	for k := range ins {
 		var out mercury.Procable
 		if outs != nil {
@@ -176,9 +179,12 @@ func (i *Instance) ForwardMany(self *abt.ULT, target, rpcName string, ins, outs 
 		if eerr := co.enqueue(self, ins[k], out, &errs[k], group); eerr != nil {
 			errs[k] = eerr
 			group.done()
+			continue
 		}
+		enqueued++
 	}
 	group.ev.Wait(self)
+	i.rpcsDone(enqueued)
 	return errs
 }
 
@@ -187,9 +193,15 @@ func (i *Instance) ForwardMany(self *abt.ULT, target, rpcName string, ins, outs 
 // (warm pools, window already open) it performs no allocations: the op
 // comes from a pool, the builder's arena grows in place, and the window
 // timer is reused via Reset. A returned error means the op was NOT
-// enqueued and the caller owns the group accounting.
+// enqueued and the caller owns the group accounting; otherwise the op
+// holds an in-flight slot the caller releases after its wait. While
+// the instance drains, every op is flushed at once: Drain has already
+// flushed the open windows and must not wait out a window timer.
 func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error, group *opGroup) error {
 	i := co.i
+	if i.batchClosed.Load() {
+		return co.closedErr()
+	}
 	stage := i.prof.Stage()
 
 	// Resolve the per-op identity exactly like forward(): breadcrumb
@@ -253,6 +265,14 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 
 	pol := *i.batchPol
 	co.mu.Lock()
+	if i.batchClosed.Load() {
+		// Closed since the check above: retire the op as failed, so its
+		// trace chain still ends and the issuer gets a verdict.
+		co.mu.Unlock()
+		i.rpcsInFlight.Add(1)
+		(&batchFlight{co: co}).completeOp(op, co.closedErr(), time.Now(), stage)
+		return nil
+	}
 	if co.builder == nil {
 		co.builder = mercury.AcquireBatch()
 		box := opsSlicePool.Get().(*[]*batchOp)
@@ -270,7 +290,11 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 	co.win.Add(co.builder.Bytes()-preBytes, dlNanos)
 	i.rpcsInFlight.Add(1)
 
-	if reason := pol.Due(&co.win); reason != batch.ReasonNone {
+	reason := pol.Due(&co.win)
+	if reason == batch.ReasonNone && i.draining.Load() {
+		reason = batch.ReasonDrain
+	}
+	if reason != batch.ReasonNone {
 		fl := co.takeLocked(reason)
 		co.mu.Unlock()
 		i.sendBatch(fl, 0)
@@ -335,21 +359,23 @@ type batchFlight struct {
 // takeLocked freezes the open window into a flight and resets the
 // coalescer for the next one.
 func (co *coalescer) takeLocked(reason batch.Reason) *batchFlight {
-	fl := &batchFlight{
-		co:      co,
-		builder: co.builder,
-		ops:     co.ops,
-		opsBox:  co.opsBox,
-		batchID: co.i.batchSeq.Add(1),
-		reason:  reason,
-	}
+	fl := co.detachLocked()
+	fl.batchID = co.i.batchSeq.Add(1)
+	fl.reason = reason
+	co.i.batchStats.RecordFlush(reason, fl.builder.Count(), fl.builder.Bytes())
+	return fl
+}
+
+// detachLocked removes the open window from the coalescer and disarms
+// its timer.
+func (co *coalescer) detachLocked() *batchFlight {
+	fl := &batchFlight{co: co, builder: co.builder, ops: co.ops, opsBox: co.opsBox}
 	co.builder, co.ops, co.opsBox = nil, nil, nil
 	co.gen++
 	co.timerAt = 0
 	if co.timer != nil {
 		co.timer.Stop()
 	}
-	co.i.batchStats.RecordFlush(reason, fl.builder.Count(), fl.builder.Bytes())
 	return fl
 }
 
@@ -503,7 +529,8 @@ func (fl *batchFlight) complete(err error, t14 time.Time) {
 
 // completeOp finishes one member: trace end event (carrying the batch
 // ID), callpath attribution, the caller's error slot, and the group
-// countdown. The op returns to its pool.
+// countdown. The op returns to its pool; its in-flight slot is released
+// by the issuer once it resumes.
 func (fl *batchFlight) completeOp(op *batchOp, err error, t14 time.Time, stage core.Stage) {
 	i := fl.co.i
 	if stage.Measures() {
@@ -542,7 +569,6 @@ func (fl *batchFlight) completeOp(op *batchOp, err error, t14 time.Time, stage c
 	group := op.group
 	op.out, op.res, op.group = nil, nil, nil
 	batchOpPool.Put(op)
-	i.rpcDone()
 	group.done()
 }
 
@@ -566,14 +592,8 @@ func (i *Instance) flushAll(reason batch.Reason) int {
 	if i.batchPol == nil {
 		return 0
 	}
-	i.coalMu.Lock()
-	cos := make([]*coalescer, 0, len(i.coals))
-	for _, co := range i.coals {
-		cos = append(cos, co)
-	}
-	i.coalMu.Unlock()
 	flushed := 0
-	for _, co := range cos {
+	for _, co := range i.coalescers() {
 		co.mu.Lock()
 		if co.builder == nil || co.builder.Count() == 0 {
 			co.mu.Unlock()
@@ -585,6 +605,45 @@ func (i *Instance) flushAll(reason batch.Reason) int {
 		flushed++
 	}
 	return flushed
+}
+
+// closeBatching stops the coalescer for good: later batched forwards
+// fail fast with ErrShutdown, and ops still waiting in open windows —
+// never sent — fail with it too. The flag is raised before any window
+// lock is taken, so an enqueue either lands in a window collected here
+// or sees the flag under its window's lock.
+func (i *Instance) closeBatching() {
+	if i.batchPol == nil {
+		return
+	}
+	i.batchClosed.Store(true)
+	now := time.Now()
+	for _, co := range i.coalescers() {
+		co.mu.Lock()
+		if co.builder == nil {
+			co.mu.Unlock()
+			continue
+		}
+		fl := co.detachLocked()
+		co.mu.Unlock()
+		fl.complete(co.closedErr(), now)
+	}
+}
+
+// closedErr is the verdict for an op the closed coalescer turns away.
+func (co *coalescer) closedErr() error {
+	return fmt.Errorf("%w: %s to %s", ErrShutdown, co.rpc, co.target)
+}
+
+// coalescers snapshots the instance's windows.
+func (i *Instance) coalescers() []*coalescer {
+	i.coalMu.Lock()
+	defer i.coalMu.Unlock()
+	cos := make([]*coalescer, 0, len(i.coals))
+	for _, co := range i.coals {
+		cos = append(cos, co)
+	}
+	return cos
 }
 
 // BatchStats is a snapshot of the instance's coalescer accounting.
@@ -624,14 +683,4 @@ func (i *Instance) BatchStats() BatchStats {
 		}
 	}
 	return s
-}
-
-// BatchPolicy returns a copy of the active coalescer policy, or nil
-// when batching is disabled.
-func (i *Instance) BatchPolicy() *batch.Policy {
-	if i.batchPol == nil {
-		return nil
-	}
-	pol := *i.batchPol
-	return &pol
 }

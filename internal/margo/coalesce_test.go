@@ -127,7 +127,9 @@ func TestBatchFlushOnDrain(t *testing.T) {
 				&kvArgs{Key: "k", Value: []byte("v")}, nil)
 		})
 	}
-	time.Sleep(20 * time.Millisecond) // let the ops park in the window
+	// Let the ops park in the window: each counts in flight from the
+	// moment it joins, and the window holds them until Drain flushes.
+	waitFor(t, func() bool { return cli.InFlight() == ops })
 
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -150,6 +152,100 @@ func TestBatchFlushOnDrain(t *testing.T) {
 	}
 	if bs.Ops != ops {
 		t.Fatalf("Ops = %d, want %d", bs.Ops, ops)
+	}
+}
+
+// TestBatchEnqueueAfterDrainFlush: an op that joins a window after
+// Drain flushed the open ones is flushed at once and answered; it does
+// not wait out the window timer (an hour here) or park past shutdown.
+func TestBatchEnqueueAfterDrainFlush(t *testing.T) {
+	c := newCluster(t)
+	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
+	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
+		Batch: &batch.Policy{MaxOps: 1024, MaxDelay: time.Hour}})
+	registerBatchEcho(t, srv, cli, "late_echo")
+
+	var opErr error
+	var issuer *abt.ULT
+	cli.OnDrain(func(context.Context) error {
+		// Drain has flushed its windows before running hooks.
+		issuer = cli.Run("late", func(self *abt.ULT) {
+			opErr = cli.ForwardBatched(self, srv.Addr(), "late_echo",
+				&kvArgs{Key: "k", Value: []byte("v")}, nil)
+		})
+		waitFor(t, func() bool {
+			return cli.InFlight() == 1 || cli.BatchStats().Ops == 1
+		})
+		return nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := cli.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	issuer.Join(nil)
+	if opErr != nil {
+		t.Fatalf("late op: %v", opErr)
+	}
+	if n := cli.BatchStats().FlushReasons["drain"]; n != 1 {
+		t.Fatalf("drain-reason flushes = %d, want 1", n)
+	}
+}
+
+// TestBatchClosedFailsFast: once the coalescer closes, batched forwards
+// fail at once with ErrShutdown instead of joining a window.
+func TestBatchClosedFailsFast(t *testing.T) {
+	c := newCluster(t)
+	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
+	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
+		Batch: &batch.Policy{MaxOps: 1024, MaxDelay: time.Hour}})
+	registerBatchEcho(t, srv, cli, "closed_echo")
+	cli.closeBatching()
+
+	var one error
+	var many []error
+	u := cli.Run("issuer", func(self *abt.ULT) {
+		one = cli.ForwardBatched(self, srv.Addr(), "closed_echo", &kvArgs{Key: "k"}, nil)
+		many = cli.ForwardMany(self, srv.Addr(), "closed_echo",
+			[]mercury.Procable{&kvArgs{Key: "a"}, &kvArgs{Key: "b"}}, nil)
+	})
+	u.Join(nil)
+	if !errors.Is(one, ErrShutdown) {
+		t.Fatalf("ForwardBatched after close = %v, want ErrShutdown", one)
+	}
+	for k, err := range many {
+		if !errors.Is(err, ErrShutdown) {
+			t.Fatalf("ForwardMany op %d after close = %v, want ErrShutdown", k, err)
+		}
+	}
+	if n := cli.InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d after failed forwards", n)
+	}
+}
+
+// TestShutdownFailsOpenWindow: Shutdown retires ops still waiting in an
+// open window — never sent — as failed, closing their trace chains and
+// handing the issuer its verdict.
+func TestShutdownFailsOpenWindow(t *testing.T) {
+	c := newCluster(t)
+	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
+	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull,
+		Batch: &batch.Policy{MaxOps: 1024, MaxDelay: time.Hour}})
+	registerBatchEcho(t, srv, cli, "open_echo")
+
+	cli.Run("issuer", func(self *abt.ULT) {
+		cli.ForwardBatched(self, srv.Addr(), "open_echo", &kvArgs{Key: "k"}, nil)
+	})
+	waitFor(t, func() bool { return cli.InFlight() == 1 })
+	cli.Shutdown()
+	failed := 0
+	for _, e := range cli.Profiler().TraceEvents() {
+		if e.RPCName == "open_echo" && e.Kind == core.EvOriginEnd && e.Failed {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("failed origin ends = %d, want 1: open-window op left without a verdict", failed)
 	}
 }
 

@@ -225,12 +225,14 @@ type Instance struct {
 	breakerFastFailsTotal atomic.Uint64
 
 	// Client-side coalescer state (Options.Batch): one window per
-	// (target, RPC) pair plus the shared flush accounting.
-	batchPol   *batch.Policy
-	coalMu     sync.Mutex
-	coals      map[breakerKey]*coalescer
-	batchSeq   atomic.Uint64
-	batchStats batch.Stats
+	// (target, RPC) pair plus the shared flush accounting. batchClosed
+	// is raised once the coalescer stops taking ops (closeBatching).
+	batchPol    *batch.Policy
+	coalMu      sync.Mutex
+	coals       map[breakerKey]*coalescer
+	batchSeq    atomic.Uint64
+	batchStats  batch.Stats
+	batchClosed atomic.Bool
 
 	sampler *telemetry.Sampler
 }
@@ -382,9 +384,6 @@ func (i *Instance) Profiler() *core.Profiler { return i.prof }
 // Mercury returns the underlying RPC library instance.
 func (i *Instance) Mercury() *mercury.Class { return i.hg }
 
-// MainPool returns the pool running application/progress ULTs.
-func (i *Instance) MainPool() *abt.Pool { return i.mainPool }
-
 // HandlerPool returns the pool running RPC handler ULTs.
 func (i *Instance) HandlerPool() *abt.Pool { return i.handlerPool }
 
@@ -502,10 +501,15 @@ func (i *Instance) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
-// rpcDone releases one in-flight slot and, on the transition to zero,
-// wakes WaitIdle parkers.
-func (i *Instance) rpcDone() {
-	if i.rpcsInFlight.Add(-1) != 0 {
+// rpcDone releases one in-flight slot; see rpcsDone.
+func (i *Instance) rpcDone() { i.rpcsDone(1) }
+
+// rpcsDone releases n in-flight slots and, on the transition to zero,
+// wakes WaitIdle parkers. Issuers release their slots once they resume
+// with a verdict, so an idle instance has no issuer still waiting for a
+// quantum — Drain may then stop the runtime without stranding one.
+func (i *Instance) rpcsDone(n int64) {
+	if i.rpcsInFlight.Add(-n) != 0 {
 		return
 	}
 	i.idleMu.Lock()
@@ -524,13 +528,15 @@ func (i *Instance) AddTraceSink(s core.TraceSink) { i.prof.AddTraceSink(s) }
 // Options.Telemetry was not set.
 func (i *Instance) Sampler() *telemetry.Sampler { return i.sampler }
 
-// Shutdown stops the telemetry sampler and progress loop, flushes any
-// attached trace sinks, and tears down the runtime. It returns the
-// first sink flush error, so exporters learn about lost events.
+// Shutdown fails batched forwards still waiting in open windows, stops
+// the telemetry sampler and progress loop, flushes any attached trace
+// sinks, and tears down the runtime. It returns the first sink flush
+// error, so exporters learn about lost events.
 func (i *Instance) Shutdown() error {
 	if !i.stopping.CompareAndSwap(false, true) {
 		return nil
 	}
+	i.closeBatching()
 	if i.sampler != nil {
 		i.sampler.Stop()
 	}

@@ -48,11 +48,6 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	return p
 }
 
-// DefaultOverloadPolicy is the policy the overload experiments install.
-func DefaultOverloadPolicy() OverloadPolicy {
-	return OverloadPolicy{}.withDefaults()
-}
-
 // admission is the dispatch-time verdict for one incoming request.
 type admission int
 
@@ -203,7 +198,9 @@ func (i *Instance) OnDrain(fn func(ctx context.Context) error) {
 // requests (incoming RPCs are shed with ErrOverloaded so origins fail
 // over), runs any OnDrain hooks, waits for in-flight handlers and
 // outbound forwards to finish, then runs the full Shutdown sequence —
-// sink flush, sampler stop, PVAR session finalize, endpoint close. If
+// sink flush, sampler stop, PVAR session finalize, endpoint close.
+// Once idle it closes the coalescer — later batched forwards fail with
+// ErrShutdown — and waits out any batched forward that got in first. If
 // ctx expires first the instance is torn down anyway (in-flight work is
 // abandoned) and ctx's error is returned so callers know the drain was
 // dirty.
@@ -222,19 +219,29 @@ func (i *Instance) Drain(ctx context.Context) error {
 			hookErr = err
 		}
 	}
-	for i.handlersInFlight.Load() != 0 || i.rpcsInFlight.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			serr := i.Shutdown()
-			if serr != nil {
-				return serr
-			}
-			return ctx.Err()
-		case <-time.After(200 * time.Microsecond):
-		}
+	idle := i.awaitIdle(ctx)
+	if idle {
+		i.closeBatching()
+		idle = i.awaitIdle(ctx)
 	}
 	if err := i.Shutdown(); err != nil {
 		return err
 	}
+	if !idle {
+		return ctx.Err()
+	}
 	return hookErr
+}
+
+// awaitIdle polls until no handler runs and no forward is in flight,
+// reporting false if ctx expires first.
+func (i *Instance) awaitIdle(ctx context.Context) bool {
+	for i.handlersInFlight.Load() != 0 || i.rpcsInFlight.Load() != 0 {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(200 * time.Microsecond):
+		}
+	}
+	return true
 }

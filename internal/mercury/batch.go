@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"symbiosys/internal/na"
 )
@@ -206,7 +205,6 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 	if count <= 0 {
 		return // malformed; drop
 	}
-	arrived := time.Now()
 	subs := make([]*Handle, 0, count)
 	bt := &batchTarget{
 		class:   c,
@@ -244,7 +242,6 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 				Priority:      ent.Priority,
 				BatchID:       hdr.BatchID,
 			},
-			arrived:    arrived,
 			reqPayload: body,
 			batchTgt:   bt,
 			batchSlot:  i,

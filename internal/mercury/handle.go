@@ -42,7 +42,6 @@ type Handle struct {
 	// Target-side state.
 	reqPayload []byte
 	meta       Meta
-	arrived    time.Time
 	// batchTgt links a sub-handle of a vectored request to the shared
 	// fan-in state; batchSlot is this entry's index in the reply.
 	batchTgt  *batchTarget
@@ -94,9 +93,6 @@ func (h *Handle) Meta() Meta { return h.meta }
 
 // RespMeta returns the metadata carried by the response (origin side).
 func (h *Handle) RespMeta() Meta { return h.respMeta }
-
-// Arrived returns when the request arrived at the target (t3).
-func (h *Handle) Arrived() time.Time { return h.arrived }
 
 // Forward serializes in, posts the handle, and sends the request. cb is
 // invoked from Trigger when the response (or a failure) arrives. meta is

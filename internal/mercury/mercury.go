@@ -268,13 +268,6 @@ func (c *Class) Trigger(max int) int {
 	return ran
 }
 
-// CompletionQueueLen reports the instantaneous internal queue length.
-func (c *Class) CompletionQueueLen() int {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	return len(c.completions)
-}
-
 // NetworkPending reports completion events still waiting in the network
 // layer (not yet read by Progress) — the paper's clogged-OFI-queue
 // signal.
@@ -364,7 +357,6 @@ func (c *Class) handleRequest(msg *na.Message) {
 			DeadlineNanos: hdr.DeadlineNanos,
 			Priority:      hdr.Priority,
 		},
-		arrived: time.Now(),
 	}
 	if hdr.Flags&flagMore == 0 {
 		h.reqPayload = eager

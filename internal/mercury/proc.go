@@ -116,9 +116,6 @@ func (p *Proc) Err() error { return p.err }
 // Buffer returns the encoded wire buffer (encode direction).
 func (p *Proc) Buffer() []byte { return p.buf }
 
-// Remaining reports unread bytes (decode direction).
-func (p *Proc) Remaining() int { return len(p.buf) - p.off }
-
 func (p *Proc) fail(err error) error {
 	if p.err == nil {
 		p.err = err

@@ -7,13 +7,13 @@ import (
 	"symbiosys/internal/telemetry"
 )
 
-// TelemetryFeed adapts a live telemetry sampler into a SnapshotFeed:
-// the engine's windowed fractions are derived from the sampler's series
-// instead of probing the instance, so monitoring cost is paid once per
-// telemetry tick no matter how many consumers watch. The feed reports
+// TelemetryFeed adapts a live telemetry sampler into the engine's
+// snapshot source: the windowed fractions are derived from the
+// sampler's series, so monitoring cost is paid once per telemetry tick
+// no matter how many consumers watch. The returned function reports
 // ok=false until the sampler has produced a new tick since the last
 // evaluation (and at least two ticks overall, so deltas exist).
-func TelemetryFeed(s *telemetry.Sampler) SnapshotFeed {
+func TelemetryFeed(s *telemetry.Sampler) func() (Snapshot, bool) {
 	var lastSeen uint64
 	var prevHandler, prevExec float64
 	return func() (Snapshot, bool) {
@@ -43,8 +43,7 @@ func TelemetryFeed(s *telemetry.Sampler) SnapshotFeed {
 		}
 
 		// Windowed handler fraction from cumulative-counter deltas since
-		// the previous evaluation (the same Figure 9 diagnosis the
-		// direct-probe path computes, fed from the series).
+		// the previous evaluation (Figure 9's diagnosis).
 		handler, exec := float64(last.TargetHandlerNanos), float64(last.TargetTotalNanos)
 		dh, de := handler-prevHandler, exec-prevExec
 		prevHandler, prevExec = handler, exec
@@ -53,26 +52,23 @@ func TelemetryFeed(s *telemetry.Sampler) SnapshotFeed {
 			snap.HandlerFraction = dh / de
 		}
 
-		// OFI budget pressure: pointwise over the buffered window,
-		// comparing the events-read PVAR against the live budget at each
-		// tick (the budget series moves when a remediation fires).
+		// OFI budget pressure: pointwise over the buffered ticks since
+		// the budget last changed, comparing the events-read PVAR against
+		// the budget. Ticks read under an earlier budget are no evidence
+		// against the current one, so a raise restarts the window.
 		_, reads, okR := s.SeriesSnapshot("pvar/" + mercury.PVarNumOFIEventsRead)
 		_, caps, okC := s.SeriesSnapshot("ofi_max_events")
-		if okR && okC {
-			n := len(reads)
-			if len(caps) < n {
-				n = len(caps)
-			}
-			atCap := 0
-			for i := 0; i < n; i++ {
-				if reads[len(reads)-1-i].Value >= caps[len(caps)-1-i].Value {
+		if okR && okC && len(reads) > 0 && len(caps) > 0 {
+			budget := caps[len(caps)-1].Value
+			n, atCap := 0, 0
+			for n < len(reads) && n < len(caps) && caps[len(caps)-1-n].Value == budget {
+				if reads[len(reads)-1-n].Value >= budget {
 					atCap++
 				}
+				n++
 			}
-			if n > 0 {
-				snap.OFIAtCapFraction = float64(atCap) / float64(n)
-				snap.OFIAtCap = reads[len(reads)-1].Value >= caps[len(caps)-1].Value
-			}
+			snap.OFIAtCapFraction = float64(atCap) / float64(n)
+			snap.OFIAtCap = reads[len(reads)-1].Value >= budget
 		}
 		return snap, true
 	}

@@ -4,43 +4,32 @@ import (
 	"testing"
 	"time"
 
-	"symbiosys/internal/core"
-	"symbiosys/internal/margo"
 	"symbiosys/internal/mercury"
-	"symbiosys/internal/na"
 	"symbiosys/internal/telemetry"
 )
 
-// newTelemetryEnv is newEnv with a telemetry sampler attached to the
-// server (manual ticks: the tests drive SampleOnce explicitly).
-func newTelemetryEnv(t *testing.T, streams int) *env {
-	t.Helper()
-	f := na.NewFabric(na.DefaultConfig())
-	srv, err := margo.New(margo.Options{
-		Mode: margo.ModeServer, Node: "n1", Name: "srv", Fabric: f,
-		HandlerStreams: streams, Stage: core.StageFull,
-		Telemetry: &telemetry.Options{Interval: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := margo.New(margo.Options{
-		Mode: margo.ModeClient, Node: "n0", Name: "cli", Fabric: f, Stage: core.StageFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Shutdown(); srv.Shutdown() })
-	srv.Register("work_rpc", func(ctx *margo.Context) {
-		ctx.Compute(2 * time.Millisecond)
-		ctx.Respond(mercury.Void{})
-	})
-	cli.RegisterClient("work_rpc")
-	return &env{srv: srv, cli: cli}
+// scriptedSource replays (events read, OFI budget) pairs, one per tick.
+type scriptedSource struct {
+	ticks [][2]uint64
+	next  int
 }
 
+func (f *scriptedSource) Addr() string { return "scripted" }
+
+func (f *scriptedSource) TelemetrySample() telemetry.Sample {
+	tk := f.ticks[f.next]
+	f.next++
+	return telemetry.Sample{
+		UnixNanos:    int64(f.next),
+		PVars:        []telemetry.PVarValue{{Name: mercury.PVarNumOFIEventsRead, Value: tk[0]}},
+		OFIMaxEvents: int(tk[1]),
+	}
+}
+
+func (f *scriptedSource) CallpathStats() []telemetry.CallpathStat { return nil }
+
 func TestTelemetryFeedFreshness(t *testing.T) {
-	e := newTelemetryEnv(t, 1)
+	e := newTelemetryEnv(t, 1, time.Hour)
 	s := e.srv.Sampler()
 	if s == nil {
 		t.Fatal("no sampler attached despite Options.Telemetry")
@@ -72,10 +61,9 @@ func TestTelemetryFeedFreshness(t *testing.T) {
 }
 
 func TestEngineLiveFeedRemediates(t *testing.T) {
-	e := newTelemetryEnv(t, 1)
+	e := newTelemetryEnv(t, 1, time.Hour)
 	s := e.srv.Sampler()
-	eng := NewEngine(e.srv, time.Millisecond)
-	eng.SetFeed(TelemetryFeed(s))
+	eng := e.newEngine(t)
 	eng.AddRule("grow-handlers",
 		HandlerSaturated(0.3, time.Millisecond),
 		AddHandlerStreams{N: 8, Max: 16},
@@ -113,7 +101,7 @@ func TestEngineLiveFeedRemediates(t *testing.T) {
 }
 
 func TestTelemetryFeedPoolAndKnobFields(t *testing.T) {
-	e := newTelemetryEnv(t, 2)
+	e := newTelemetryEnv(t, 2, time.Hour)
 	s := e.srv.Sampler()
 	e.burst(t, 4)
 	s.SampleOnce()
@@ -131,5 +119,32 @@ func TestTelemetryFeedPoolAndKnobFields(t *testing.T) {
 	}
 	if snap.WindowTargetExec <= 0 {
 		t.Fatal("WindowTargetExec empty despite burst")
+	}
+}
+
+// TestTelemetryFeedOFIWindowRestartsOnRaise: the at-cap fraction only
+// counts ticks read under the current budget, so a raise is not judged
+// by reads taken under the old one.
+func TestTelemetryFeedOFIWindowRestartsOnRaise(t *testing.T) {
+	src := &scriptedSource{ticks: [][2]uint64{{4, 4}, {4, 4}, {1, 4}, {4, 4}, {4, 16}, {16, 16}}}
+	s := telemetry.NewSampler(src, telemetry.Options{})
+	feed := TelemetryFeed(s)
+	for i := 0; i < 4; i++ {
+		s.SampleOnce()
+	}
+	snap, ok := feed()
+	if !ok {
+		t.Fatal("feed stale")
+	}
+	if snap.OFIAtCapFraction != 0.75 || !snap.OFIAtCap {
+		t.Fatalf("before raise: fraction %v at-cap %v, want 0.75 true", snap.OFIAtCapFraction, snap.OFIAtCap)
+	}
+	s.SampleOnce()
+	if snap, _ = feed(); snap.OFIAtCapFraction != 0 || snap.OFIAtCap {
+		t.Fatalf("after raise: fraction %v at-cap %v, want 0 false", snap.OFIAtCapFraction, snap.OFIAtCap)
+	}
+	s.SampleOnce()
+	if snap, _ = feed(); snap.OFIAtCapFraction != 0.5 || !snap.OFIAtCap {
+		t.Fatalf("under new budget: fraction %v at-cap %v, want 0.5 true", snap.OFIAtCapFraction, snap.OFIAtCap)
 	}
 }

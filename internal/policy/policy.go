@@ -2,7 +2,8 @@
 // paper sketches as future work (§VII): "policy-driven mechanisms
 // whereby rules governing response to poor performance behavior can be
 // formulated and applied based on performance monitoring". An Engine
-// periodically samples a Margo instance's SYMBIOSYS measurements into a
+// consumes the instance's live telemetry sampler — the same monitoring
+// path that feeds /metrics — turning each fresh sampler tick into a
 // Snapshot, evaluates user-formulated Rules against it, and applies the
 // matching remediations live — e.g. growing the handler pool when the
 // target ULT handler time dominates (the C1→C2 move) or raising
@@ -11,18 +12,17 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
-	"symbiosys/internal/mercury"
 )
 
 // Snapshot is one monitoring sample of an instance's health, derived
 // from the same SYMBIOSYS data the offline analyses use. Fractions are
-// computed over the window since the previous sample.
+// computed over the window since the previous evaluation.
 type Snapshot struct {
 	At     time.Time
 	Entity string
@@ -36,7 +36,8 @@ type Snapshot struct {
 
 	// OFIAtCap reports whether the most recent progress pass read the
 	// full OFI_max_events budget; OFIAtCapFraction is the share of
-	// sampled ticks at the budget within the window (Figure 12).
+	// buffered sampler ticks at the budget since it last changed
+	// (Figure 12).
 	OFIAtCap         bool
 	OFIAtCapFraction float64
 
@@ -174,41 +175,30 @@ type Decision struct {
 	Snapshot Snapshot
 }
 
-// SnapshotFeed supplies monitoring snapshots from an external source —
-// the live-feed mode. When installed via SetFeed, the engine evaluates
-// rules against the feed's snapshots instead of probing the instance
-// itself, so one telemetry sampler serves both scrapers and policy.
-// ok=false means the feed has no fresh data yet; the engine skips that
-// tick rather than acting on stale numbers.
-type SnapshotFeed func() (Snapshot, bool)
-
 // Engine monitors one instance and applies rules.
 type Engine struct {
 	inst     *margo.Instance
+	feed     func() (Snapshot, bool)
 	interval time.Duration
 
 	mu        sync.Mutex
-	feed      SnapshotFeed
 	rules     []*Rule
 	decisions []Decision
-
-	// Window state for fraction computations.
-	prevHandler uint64
-	prevExec    uint64
-	ticks       int
-	atCapTicks  int
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewEngine creates a monitoring engine sampling at the given interval
-// (default 10ms).
-func NewEngine(inst *margo.Instance, interval time.Duration) *Engine {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
+// NewEngine creates an engine fed by inst's telemetry sampler (see
+// TelemetryFeed), ticking at the sampler's interval: ticking faster
+// would only find no fresh sample. It fails when inst was built without
+// Options.Telemetry: the engine would have no monitoring input.
+func NewEngine(inst *margo.Instance) (*Engine, error) {
+	s := inst.Sampler()
+	if s == nil {
+		return nil, errors.New("policy: instance has no telemetry sampler")
 	}
-	return &Engine{inst: inst, interval: interval}
+	return &Engine{inst: inst, feed: TelemetryFeed(s), interval: s.Interval()}, nil
 }
 
 // AddRule installs a rule.
@@ -216,15 +206,6 @@ func (e *Engine) AddRule(name string, when Condition, do Action, cooldown time.D
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rules = append(e.rules, &Rule{Name: name, When: when, Do: do, Cooldown: cooldown})
-}
-
-// SetFeed installs (or clears, with nil) a live snapshot feed. With a
-// feed installed, Tick evaluates rules against the feed's snapshots
-// instead of probing the instance directly.
-func (e *Engine) SetFeed(f SnapshotFeed) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.feed = f
 }
 
 // Decisions returns the audit log of applied (or failed) remediations.
@@ -236,89 +217,16 @@ func (e *Engine) Decisions() []Decision {
 	return out
 }
 
-// Sample computes one monitoring snapshot (exported for tests and for
-// callers embedding the engine in their own loops).
-func (e *Engine) Sample() Snapshot {
-	inst := e.inst
-	s := Snapshot{
-		At:             time.Now(),
-		Entity:         inst.Addr(),
-		HandlerStreams: inst.HandlerStreams(),
-		OFIMaxEvents:   inst.OFIMaxEvents(),
-		InFlight:       inst.InFlight(),
-		NetworkPending: inst.Mercury().NetworkPending(),
-	}
-	s.CompletionQueueLen = inst.Mercury().CompletionQueueLen()
-
-	hp := inst.HandlerPool()
-	s.HandlerRunnable = int64(hp.Len())
-	s.HandlerBlocked = hp.Blocked()
-
-	// Windowed handler fraction from the target-side profile deltas.
-	var handler, exec uint64
-	for _, st := range inst.Profiler().TargetStats() {
-		handler += st.Components[core.CompHandler]
-		exec += st.Components[core.CompHandler] +
-			st.Components[core.CompTargetExec] +
-			st.Components[core.CompTargetCB]
-	}
-	dh := handler - e.prevHandler
-	de := exec - e.prevExec
-	e.prevHandler, e.prevExec = handler, exec
-	s.WindowTargetExec = time.Duration(de)
-	if de > 0 {
-		s.HandlerFraction = float64(dh) / float64(de)
-	}
-
-	// OFI budget pressure from the live PVAR.
-	if v, err := readOFIEventsRead(inst); err == nil {
-		s.OFIAtCap = int(v) >= inst.OFIMaxEvents()
-	}
-	e.ticks++
-	if s.OFIAtCap {
-		e.atCapTicks++
-	}
-	if e.ticks > 0 {
-		s.OFIAtCapFraction = float64(e.atCapTicks) / float64(e.ticks)
-	}
-	return s
-}
-
-// readOFIEventsRead samples the num_ofi_events_read PVAR through a
-// short-lived session, exactly as an external tool would.
-func readOFIEventsRead(inst *margo.Instance) (uint64, error) {
-	sess := inst.Mercury().PVars().InitSession()
-	defer sess.Finalize()
-	h, err := sess.AllocHandleByName(mercury.PVarNumOFIEventsRead)
-	if err != nil {
-		return 0, err
-	}
-	return sess.Read(h, nil)
-}
-
-// resetWindow clears the at-cap window after a remediation so the next
-// decisions reflect post-change behavior.
-func (e *Engine) resetWindow() {
-	e.ticks = 0
-	e.atCapTicks = 0
-}
-
-// Tick evaluates all rules against a fresh sample, applying at most one
-// action per rule whose cooldown has passed. It returns the decisions
-// made this tick.
+// Tick evaluates all rules against the sampler's newest tick, applying
+// at most one action per rule whose cooldown has passed. It returns the
+// decisions made this tick; without a fresh sampler tick it makes none.
 func (e *Engine) Tick() []Decision {
 	e.mu.Lock()
-	feed := e.feed
 	rules := e.rules
 	e.mu.Unlock()
-	var snap Snapshot
-	if feed != nil {
-		var ok bool
-		if snap, ok = feed(); !ok {
-			return nil // no fresh telemetry yet; don't act on stale data
-		}
-	} else {
-		snap = e.Sample()
+	snap, ok := e.feed()
+	if !ok {
+		return nil // no fresh telemetry yet; don't act on stale data
 	}
 	var made []Decision
 	for _, r := range rules {
@@ -335,7 +243,6 @@ func (e *Engine) Tick() []Decision {
 		e.mu.Lock()
 		e.decisions = append(e.decisions, d)
 		e.mu.Unlock()
-		e.resetWindow()
 	}
 	return made
 }

@@ -9,18 +9,24 @@ import (
 	"symbiosys/internal/margo"
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
+	"symbiosys/internal/telemetry"
 )
 
 type env struct {
 	srv, cli *margo.Instance
 }
 
-func newEnv(t *testing.T, streams int) *env {
+// newTelemetryEnv builds a server with a telemetry sampler ticking every
+// interval (time.Hour: the test drives SampleOnce explicitly) and a
+// client without one. It returns once the sampler's initial tick has
+// been taken, so tick counts in the tests are deterministic.
+func newTelemetryEnv(t *testing.T, streams int, interval time.Duration) *env {
 	t.Helper()
 	f := na.NewFabric(na.DefaultConfig())
 	srv, err := margo.New(margo.Options{
 		Mode: margo.ModeServer, Node: "n1", Name: "srv", Fabric: f,
 		HandlerStreams: streams, Stage: core.StageFull,
+		Telemetry: &telemetry.Options{Interval: interval},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +43,27 @@ func newEnv(t *testing.T, streams int) *env {
 		ctx.Respond(mercury.Void{})
 	})
 	cli.RegisterClient("work_rpc")
+	if srv.Sampler() == nil {
+		t.Fatal("no sampler attached despite Options.Telemetry")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Sampler().Ticks() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("sampler took no initial tick")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return &env{srv: srv, cli: cli}
+}
+
+// newEngine builds an engine over the server's sampler.
+func (e *env) newEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := NewEngine(e.srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 // burst issues n concurrent RPCs and waits for them.
@@ -56,15 +82,20 @@ func (e *env) burst(t *testing.T, n int) {
 }
 
 func TestHandlerSaturationRuleFiresAndRemediates(t *testing.T) {
-	e := newEnv(t, 1)
-	eng := NewEngine(e.srv, time.Millisecond)
+	e := newTelemetryEnv(t, 1, time.Hour)
+	s := e.srv.Sampler()
+	eng := e.newEngine(t)
 	eng.AddRule("grow-handlers",
 		HandlerSaturated(0.3, time.Millisecond),
 		AddHandlerStreams{N: 8, Max: 16},
 		0)
+	// An independent feed over the same sampler measures the windows
+	// without ticking the engine.
+	probe := TelemetryFeed(s)
 
 	// Saturate: 16 concurrent 2ms requests on one stream.
 	e.burst(t, 16)
+	s.SampleOnce()
 	decisions := eng.Tick()
 	if len(decisions) != 1 {
 		t.Fatalf("decisions = %+v", decisions)
@@ -79,10 +110,17 @@ func TestHandlerSaturationRuleFiresAndRemediates(t *testing.T) {
 	if e.srv.HandlerStreams() != 9 {
 		t.Fatalf("handler streams = %d, want 9", e.srv.HandlerStreams())
 	}
+	if _, ok := probe(); !ok {
+		t.Fatal("probe stale")
+	}
 
 	// After remediation the same burst must show far less handler wait.
 	e.burst(t, 16)
-	snap := eng.Sample()
+	s.SampleOnce()
+	snap, ok := probe()
+	if !ok {
+		t.Fatal("probe stale after remediation")
+	}
 	if snap.HandlerFraction >= d.Snapshot.HandlerFraction/2 {
 		t.Fatalf("post-remediation fraction %f not well below %f",
 			snap.HandlerFraction, d.Snapshot.HandlerFraction)
@@ -93,22 +131,25 @@ func TestHandlerSaturationRuleFiresAndRemediates(t *testing.T) {
 }
 
 func TestRuleCooldownPreventsRefiring(t *testing.T) {
-	e := newEnv(t, 1)
-	eng := NewEngine(e.srv, time.Millisecond)
+	e := newTelemetryEnv(t, 1, time.Hour)
+	s := e.srv.Sampler()
+	eng := e.newEngine(t)
 	eng.AddRule("grow", HandlerSaturated(0.1, time.Microsecond),
 		AddHandlerStreams{N: 1, Max: 64}, time.Hour)
 	e.burst(t, 8)
+	s.SampleOnce()
 	if n := len(eng.Tick()); n != 1 {
 		t.Fatalf("first tick decisions = %d", n)
 	}
 	e.burst(t, 8)
+	s.SampleOnce()
 	if n := len(eng.Tick()); n != 0 {
 		t.Fatalf("cooldown violated: %d decisions", n)
 	}
 }
 
 func TestAddHandlerStreamsRespectsMax(t *testing.T) {
-	e := newEnv(t, 4)
+	e := newTelemetryEnv(t, 4, time.Hour)
 	a := AddHandlerStreams{N: 8, Max: 6}
 	if err := a.Apply(e.srv); err != nil {
 		t.Fatal(err)
@@ -122,7 +163,7 @@ func TestAddHandlerStreamsRespectsMax(t *testing.T) {
 }
 
 func TestRaiseOFIMaxEvents(t *testing.T) {
-	e := newEnv(t, 1)
+	e := newTelemetryEnv(t, 1, time.Hour)
 	a := RaiseOFIMaxEvents{Factor: 4, Max: 64}
 	if err := a.Apply(e.cli); err != nil {
 		t.Fatal(err)
@@ -154,8 +195,11 @@ func TestConditionCombinators(t *testing.T) {
 }
 
 func TestEngineStartStop(t *testing.T) {
-	e := newEnv(t, 1)
-	eng := NewEngine(e.srv, time.Millisecond)
+	e := newTelemetryEnv(t, 1, time.Millisecond)
+	eng := e.newEngine(t)
+	if eng.interval != time.Millisecond {
+		t.Fatalf("engine interval = %v, want the sampler's 1ms", eng.interval)
+	}
 	eng.AddRule("grow", HandlerSaturated(0.2, time.Microsecond),
 		AddHandlerStreams{N: 2, Max: 8}, 5*time.Millisecond)
 	eng.Start()
@@ -172,11 +216,18 @@ func TestEngineStartStop(t *testing.T) {
 }
 
 func TestAddHandlerStreamsOnClientRejected(t *testing.T) {
-	e := newEnv(t, 1)
+	e := newTelemetryEnv(t, 1, time.Hour)
 	if err := e.cli.AddHandlerStreams(2); err == nil {
 		t.Fatal("AddHandlerStreams on client accepted")
 	}
 	if err := e.srv.AddHandlerStreams(0); err == nil {
 		t.Fatal("AddHandlerStreams(0) accepted")
+	}
+}
+
+func TestNewEngineRequiresTelemetry(t *testing.T) {
+	e := newTelemetryEnv(t, 1, time.Hour)
+	if eng, err := NewEngine(e.cli); err == nil || eng != nil {
+		t.Fatalf("NewEngine on an instance without a sampler = %v, %v", eng, err)
 	}
 }
